@@ -57,6 +57,8 @@ from .cascade import (
     top2_margin,
 )
 from .compile import (
+    ENGINE_KINDS,
+    PRECISIONS,
     CompiledModel,
     EngineError,
     LearnerBlock,
@@ -87,7 +89,9 @@ from .train import (
 
 __all__ = [
     "CompiledModel",
+    "ENGINE_KINDS",
     "EngineError",
+    "PRECISIONS",
     "LearnerBlock",
     "ModelComponents",
     "compile_model",

@@ -196,6 +196,8 @@ class CascadeModel(CompiledModel):
     ``stats`` accumulates rerank counts across calls for observability.
     """
 
+    kind = "cascade"
+
     def __init__(
         self,
         *,
@@ -259,6 +261,43 @@ class CascadeModel(CompiledModel):
             f"threshold={self.threshold!r}, n_learners={self.n_learners}, "
             f"total_dim={self.total_dim}, in_features={self.in_features}, "
             f"aggregation={self.aggregation!r}, dtype={self.dtype.name})"
+        )
+
+    def state(self) -> tuple[str, dict, dict[str, np.ndarray]]:
+        """Both tiers' state with the shared projection stored once.
+
+        The first tier's ``(kind, meta, arrays)`` is extended with the
+        second tier's block arrays under a ``"second."`` prefix, its
+        ``(kind, meta)`` under ``meta["second"]``, and the ``threshold``.
+        """
+        _, meta, arrays = self.first.state()
+        second_kind, second_meta, second_arrays = self.second.state()
+        arrays.update(
+            (f"second.{key}", value)
+            for key, value in second_arrays.items()
+            if key.startswith("block")
+        )
+        meta.update(
+            precision=self.precision,
+            threshold=self.threshold,
+            second=(second_kind, second_meta),
+        )
+        return self.kind, meta, arrays
+
+    @classmethod
+    def _from_state(cls, meta: dict, arrays: dict) -> "CascadeModel":
+        second_kind, second_meta = meta["second"]
+        # Both tiers adopt the same projection views (the first tier's
+        # blocks dropped, the second tier's unprefixed).
+        second_arrays = {
+            key.removeprefix("second."): value
+            for key, value in arrays.items()
+            if not key.startswith("block")
+        }
+        return cls(
+            first=PackedBipolarModel._from_state(meta, arrays),
+            second=CompiledModel.from_state(second_kind, second_meta, second_arrays),
+            threshold=meta["threshold"],
         )
 
     def class_memory_bytes(self) -> int:

@@ -35,7 +35,7 @@ partitioners; ``tests/test_engine.py`` holds the equivalence contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,14 +49,35 @@ from .cache import LRUCache, array_fingerprint
 
 __all__ = [
     "CompiledModel",
+    "ENGINE_KINDS",
     "EngineError",
     "LearnerBlock",
     "ModelComponents",
+    "PRECISIONS",
     "assemble_projection",
     "compile_model",
     "model_components",
     "topk_indices",
 ]
+
+#: Every precision understood by ``compile_model(..., precision=...)``: the
+#: float engine, the quantized engines of :mod:`repro.engine.quant` and the
+#: cascades of :mod:`repro.engine.cascade` (bare ``"cascade"`` is an alias
+#: for ``"cascade-fixed16"``).
+PRECISIONS = (
+    "float64",
+    "bipolar-packed",
+    "fixed16",
+    "fixed8",
+    "cascade",
+    "cascade-fixed16",
+    "cascade-fixed8",
+    "cascade-float64",
+)
+
+#: ``kind -> engine class`` table behind :meth:`CompiledModel.from_state`;
+#: every engine class registers the ``kind`` it declares.
+ENGINE_KINDS: dict[str, type] = {}
 
 #: Denominator clip mirroring :func:`repro.hdc.similarity.cosine_similarity`.
 _EPS = 1e-12
@@ -99,6 +120,9 @@ class LearnerBlock:
     columns: np.ndarray
     class_weights: np.ndarray
 
+    #: Fields that are engine-state arrays; the rest travel as metadata.
+    ARRAYS = ("class_weights",)
+
     @property
     def dim(self) -> int:
         return self.stop - self.start
@@ -121,6 +145,14 @@ class CompiledModel:
     #: Class-hypervector representation this engine scores against; the
     #: quantized variants (:mod:`repro.engine.quant`) override it.
     precision = "float64"
+    #: Engine-state kind (:meth:`state`) and the block type it stores.
+    kind = "float"
+    block_type = LearnerBlock
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "kind" in cls.__dict__:
+            ENGINE_KINDS[cls.kind] = cls
 
     def __init__(
         self,
@@ -156,31 +188,70 @@ class CompiledModel:
             score_threads=score_threads,
         )
 
-    @classmethod
-    def from_prepared(
-        cls,
-        *,
-        basis2: np.ndarray,
-        bias: np.ndarray,
-        sin_bias: np.ndarray,
-        **options,
-    ) -> "CompiledModel":
-        """Build an engine over already-derived arrays, without copying them.
+    def state(self) -> tuple[str, dict, dict[str, np.ndarray]]:
+        """The engine as ``(kind, meta, arrays)``, the inverse of :meth:`from_state`.
 
-        ``basis2`` is the pre-doubled, pre-transposed ``(in_features,
-        D_total)`` projection exactly as :attr:`_basis2` stores it, ``bias``
-        / ``sin_bias`` the phase bias and its precomputed sine in the
-        engine dtype.  The arrays are adopted as-is (no ``ascontiguousarray``
-        / ``astype`` pass), which is what lets :mod:`repro.serving.shm`
-        construct engines directly over ``multiprocessing.shared_memory``
-        buffers with zero per-worker copies.  Remaining keyword ``options``
-        are the block/class/aggregation arguments of the regular
-        constructor.  Callers are responsible for array layout; shapes and
-        dtypes are still validated.
+        ``arrays`` maps a flat key (``"basis2"``, ``"bias"``, ``"sin_bias"``,
+        ``"block{i}.<field>"``) to the engine's own ndarrays — no copies.
+        ``meta`` holds the picklable scalars and small arrays: classes,
+        aggregation, dtype, chunk size, shared-projection flag, score
+        threads, precision, and each block's non-array fields.  This is the
+        one place an engine's layout is written down: shared-memory
+        publication and degradation both go through it.  The encoding
+        cache is runtime state and is not part of it.
         """
-        basis2 = np.asarray(basis2)
-        bias = np.asarray(bias)
-        sin_bias = np.asarray(sin_bias)
+        if ENGINE_KINDS.get(self.kind) is not type(self):
+            raise EngineError(
+                f"cannot export the state of {type(self).__name__}; supported "
+                f"engines: {', '.join(cls.__name__ for cls in ENGINE_KINDS.values())}"
+            )
+        arrays = {"basis2": self._basis2, "bias": self._bias, "sin_bias": self._sin_bias}
+        blocks = []
+        for i, block in enumerate(self.blocks):
+            entry = {}
+            for field in fields(block):
+                value = getattr(block, field.name)
+                if field.name in block.ARRAYS:
+                    arrays[f"block{i}.{field.name}"] = value
+                else:
+                    entry[field.name] = value
+            blocks.append(entry)
+        meta = {
+            "classes": self.classes_,
+            "aggregation": self.aggregation,
+            "dtype": self.dtype.str,
+            "chunk_size": self.chunk_size,
+            "shared_projection": self.shared_projection,
+            "score_threads": self.score_threads,
+            "precision": self.precision,
+            "blocks": blocks,
+        }
+        return self.kind, meta, arrays
+
+    @staticmethod
+    def from_state(
+        kind: str, meta: dict, arrays: dict[str, np.ndarray]
+    ) -> "CompiledModel":
+        """Rebuild an engine from :meth:`state` output, adopting its arrays.
+
+        The arrays are used as-is — no ``ascontiguousarray`` / ``astype``
+        pass — which is what lets :mod:`repro.serving.shm` build engines
+        directly over read-only shared-memory views.  Because those arrays
+        come from outside the process, shapes and dtypes are validated and
+        a malformed state raises :class:`EngineError`.
+        """
+        engine_class = ENGINE_KINDS.get(kind)
+        if engine_class is None:
+            raise EngineError(
+                f"unknown engine kind {kind!r}; available: {sorted(ENGINE_KINDS)}"
+            )
+        return engine_class._from_state(meta, arrays)
+
+    @classmethod
+    def _from_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "CompiledModel":
+        basis2, bias, sin_bias = (
+            np.asarray(arrays[key]) for key in ("basis2", "bias", "sin_bias")
+        )
         if basis2.ndim != 2:
             raise EngineError(
                 f"basis2 must be the (in_features, D_total) transposed "
@@ -191,8 +262,27 @@ class CompiledModel:
                 f"bias/sin_bias of shape {bias.shape}/{sin_bias.shape} do not "
                 f"match D_total={basis2.shape[1]}"
             )
+        block_type = cls.block_type
+        blocks = [
+            block_type(
+                **entry,
+                **{name: np.asarray(arrays[f"block{i}.{name}"]) for name in block_type.ARRAYS},
+            )
+            for i, entry in enumerate(meta["blocks"])
+        ]
         self = cls.__new__(cls)
-        self._setup(basis2=basis2, bias=bias, sin_bias=sin_bias, **options)
+        self._setup(
+            basis2=basis2,
+            bias=bias,
+            sin_bias=sin_bias,
+            blocks=blocks,
+            classes=meta["classes"],
+            aggregation=meta["aggregation"],
+            dtype=np.dtype(meta["dtype"]),
+            chunk_size=meta["chunk_size"],
+            shared_projection=meta["shared_projection"],
+            score_threads=meta["score_threads"],
+        )
         return self
 
     def _setup(
@@ -211,7 +301,7 @@ class CompiledModel:
         shared_projection: bool = False,
         score_threads: int | str | None = None,
     ) -> None:
-        """Shared field initialisation of ``__init__`` and :meth:`from_prepared`."""
+        """Shared field initialisation of ``__init__`` and :meth:`from_state`."""
         if aggregation not in ("vote", "score"):
             raise EngineError(f"unsupported aggregation {aggregation!r}")
         self.dtype = np.dtype(dtype)
@@ -439,6 +529,9 @@ class CompiledModel:
     def predict_topk(self, X: np.ndarray, k: int = 2) -> np.ndarray:
         """Top-``k`` predicted labels per sample, best first (see :meth:`score_topk`)."""
         return self.classes_[topk_indices(self.decision_function(X), k)]
+
+
+ENGINE_KINDS[CompiledModel.kind] = CompiledModel
 
 
 # ---------------------------------------------------------------- compilation

@@ -56,7 +56,7 @@ import numpy as np
 from ..hdc.hypervector import pack_signs
 from ..hdc.quantize import SCHEME_BITS, SCHEME_DTYPES, quantize_codes
 from ..hdc.similarity import popcount_rows
-from .compile import CompiledModel, EngineError, model_components
+from .compile import PRECISIONS, CompiledModel, EngineError, model_components
 from .threads import run_row_blocks
 
 __all__ = [
@@ -68,9 +68,7 @@ __all__ = [
     "QUANT_PRECISIONS",
     "compile_quantized",
     "fixed_block",
-    "fixed_block_from_codes",
     "packed_block",
-    "packed_block_from_words",
 ]
 
 #: Quantized precisions understood by ``compile_model(..., precision=...)``
@@ -110,6 +108,25 @@ class PackedBlock:
     columns: np.ndarray
     words: np.ndarray
 
+    #: Fields that are engine-state arrays; the rest travel as metadata.
+    ARRAYS = ("words",)
+
+    def __post_init__(self) -> None:
+        # Blocks may be built over shared-memory views (CompiledModel.
+        # from_state); a wrong width would silently misalign the popcounts.
+        words = self.words
+        if words.ndim != 2 or words.dtype != np.dtype(np.uint64):
+            raise EngineError(
+                f"padded sign words must be a 2-D uint64 array, got "
+                f"ndim={words.ndim} dtype={words.dtype}"
+            )
+        expected = -(-self.dim // 64)
+        if words.shape[1] != expected:
+            raise EngineError(
+                f"padded rows are {words.shape[1]} words wide but the block spans "
+                f"{self.dim} elements (expected {expected} words)"
+            )
+
     @property
     def dim(self) -> int:
         return self.stop - self.start
@@ -141,6 +158,26 @@ class FixedBlock:
     scale: float
     inv_norms: np.ndarray
 
+    #: Fields that are engine-state arrays; the rest travel as metadata.
+    ARRAYS = ("codes", "inv_norms")
+
+    def __post_init__(self) -> None:
+        codes = self.codes
+        if codes.dtype not in (np.dtype(np.int8), np.dtype(np.int16)):
+            raise EngineError(
+                f"fixed-point codes must be int8 or int16, got {codes.dtype}"
+            )
+        if codes.ndim != 2 or codes.shape[0] != self.dim:
+            raise EngineError(
+                f"transposed codes of shape {codes.shape} do not span the block's "
+                f"{self.dim} elements"
+            )
+        if self.inv_norms.shape != (codes.shape[1],):
+            raise EngineError(
+                f"inv_norms of shape {self.inv_norms.shape} do not match "
+                f"{codes.shape[1]} class columns"
+            )
+
     @property
     def dim(self) -> int:
         return self.stop - self.start
@@ -170,87 +207,6 @@ def packed_block(
     )
 
 
-def packed_block_from_words(
-    start: int,
-    stop: int,
-    alpha: float,
-    columns: np.ndarray,
-    words: np.ndarray,
-) -> PackedBlock:
-    """Build a :class:`PackedBlock` over already-padded ``uint64`` sign words.
-
-    The zero-copy sibling of :func:`packed_block`: ``words`` must be exactly
-    the ``(n_classes, ceil(dim / 64))`` padded representation that
-    :attr:`PackedBlock.words` stores, and is adopted as-is — no re-pack, no
-    copy.  This is the construction path :mod:`repro.serving.shm` uses to
-    build engines directly over shared-memory buffers.
-    """
-    words = np.asarray(words)
-    if words.ndim != 2 or words.dtype != np.dtype(np.uint64):
-        raise EngineError(
-            f"padded sign words must be a 2-D uint64 array, got "
-            f"ndim={words.ndim} dtype={words.dtype}"
-        )
-    expected = -(-(stop - start) // 64)
-    if words.shape[1] != expected:
-        raise EngineError(
-            f"padded rows are {words.shape[1]} words wide but the block spans "
-            f"{stop - start} elements (expected {expected} words)"
-        )
-    return PackedBlock(
-        start=int(start),
-        stop=int(stop),
-        alpha=float(alpha),
-        columns=np.asarray(columns),
-        words=words,
-    )
-
-
-def fixed_block_from_codes(
-    start: int,
-    stop: int,
-    alpha: float,
-    columns: np.ndarray,
-    codes: np.ndarray,
-    scale: float,
-    inv_norms: np.ndarray,
-) -> FixedBlock:
-    """Build a :class:`FixedBlock` over an already-transposed code matrix.
-
-    The zero-copy sibling of :func:`fixed_block`: ``codes`` must be the
-    ``(dim, n_classes)`` scoring-layout matrix that :attr:`FixedBlock.codes`
-    stores and ``inv_norms`` the precomputed reciprocal column norms — both
-    are adopted without transposing, copying, or recomputing norms, which is
-    what lets :mod:`repro.serving.shm` map a stored artifact straight into
-    worker engines.
-    """
-    codes = np.asarray(codes)
-    if codes.dtype not in (np.dtype(np.int8), np.dtype(np.int16)):
-        raise EngineError(
-            f"fixed-point codes must be int8 or int16, got {codes.dtype}"
-        )
-    if codes.ndim != 2 or codes.shape[0] != stop - start:
-        raise EngineError(
-            f"transposed codes of shape {codes.shape} do not span the block's "
-            f"{stop - start} elements"
-        )
-    inv_norms = np.asarray(inv_norms, dtype=np.float64)
-    if inv_norms.shape != (codes.shape[1],):
-        raise EngineError(
-            f"inv_norms of shape {inv_norms.shape} do not match "
-            f"{codes.shape[1]} class columns"
-        )
-    return FixedBlock(
-        start=int(start),
-        stop=int(stop),
-        alpha=float(alpha),
-        columns=np.asarray(columns),
-        codes=codes,
-        scale=float(scale),
-        inv_norms=inv_norms,
-    )
-
-
 def fixed_block(
     start: int,
     stop: int,
@@ -264,11 +220,6 @@ def fixed_block(
     if codes.dtype not in (np.dtype(np.int8), np.dtype(np.int16)):
         raise EngineError(
             f"fixed-point codes must be int8 or int16, got {codes.dtype}"
-        )
-    if codes.shape[1] != stop - start:
-        raise EngineError(
-            f"codes span {codes.shape[1]} elements but the block spans "
-            f"{stop - start}"
         )
     norms = np.sqrt(
         np.einsum("ij,ij->i", codes, codes, dtype=np.int64).astype(np.float64)
@@ -319,6 +270,8 @@ class PackedBipolarModel(CompiledModel):
     """
 
     precision = "bipolar-packed"
+    kind = "packed"
+    block_type = PackedBlock
 
     def __repr__(self) -> str:
         return (
@@ -440,24 +393,17 @@ class FixedPointModel(CompiledModel):
     asserted in ``tests/test_quant_engine.py``.
     """
 
+    kind = "fixed"
+    block_type = FixedBlock
+
     def __init__(self, *, precision: str, **kwargs) -> None:
-        if precision not in SCHEME_BITS:
-            raise EngineError(
-                f"unsupported fixed-point precision {precision!r}; "
-                f"available: {sorted(SCHEME_BITS)}"
-            )
         super().__init__(**kwargs)
         self._configure_fixed(precision)
 
     @classmethod
-    def from_prepared(cls, *, precision: str, **options) -> "FixedPointModel":
-        """Zero-copy construction over prepared arrays, plus the precision setup.
-
-        See :meth:`CompiledModel.from_prepared`; blocks must already hold
-        scoring-layout codes (:func:`fixed_block_from_codes`).
-        """
-        self = super().from_prepared(**options)
-        self._configure_fixed(precision)
+    def _from_state(cls, meta: dict, arrays: dict) -> "FixedPointModel":
+        self = super()._from_state(meta, arrays)
+        self._configure_fixed(meta["precision"])
         return self
 
     def _configure_fixed(self, precision: str) -> None:
@@ -614,10 +560,7 @@ def compile_quantized(
     already rounded.)
     """
     if precision not in QUANT_PRECISIONS:
-        raise EngineError(
-            f"unknown precision {precision!r}; available: "
-            f"{('float64',) + QUANT_PRECISIONS}"
-        )
+        raise EngineError(f"unknown precision {precision!r}; available: {PRECISIONS}")
     parts = model_components(model)
     options = dict(
         basis=parts.basis,

@@ -219,6 +219,10 @@ class _ServiceBackend:
         pass  # the service owns no processes; drain() already flushed
 
 
+class _SwapRefused(RuntimeError):
+    """The backend declined a swap; the old model keeps serving."""
+
+
 class _FabricBackend:
     """Uniform backend facade over a multi-process :class:`ServingFabric`."""
 
@@ -248,10 +252,12 @@ class _FabricBackend:
         return self.fabric.drain(deadline=deadline)
 
     def swap(self, registry, name, version, precision, compile_options):
-        self.fabric.swap_from_registry(
+        result = self.fabric.swap_from_registry(
             registry, name, version, precision=precision, **(compile_options or {})
         )
-        return []
+        if not result.promoted:
+            raise _SwapRefused(result.reason)
+        return list(result.flushed)
 
     def sessions(self) -> tuple[str, ...]:
         return self.fabric.sessions
@@ -951,6 +957,15 @@ class Gateway:
             )
         except (KeyError, FileNotFoundError) as error:
             return json_response(404, {"error": str(error)})
+        except _SwapRefused as refused:
+            return json_response(
+                409,
+                {
+                    "swapped": False,
+                    "error": str(refused),
+                    "generation": self.backend.generation,
+                },
+            )
         return json_response(
             200,
             {

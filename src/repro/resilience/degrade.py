@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from ..engine.cascade import CascadeModel
 from ..engine.compile import CompiledModel, EngineError
-from ..engine.quant import FixedPointModel, PackedBipolarModel, packed_block
+from ..engine.quant import PackedBipolarModel, packed_block
 from ..hdc.hypervector import pack_signs
 from ..obs import OBS
 
@@ -59,32 +59,16 @@ def packed_fallback(engine: CompiledModel) -> PackedBipolarModel | None:
         return engine.packed_tier()
     if isinstance(engine, PackedBipolarModel) or not isinstance(engine, CompiledModel):
         return None
-    blocks = []
-    for block in engine.blocks:
-        if isinstance(engine, FixedPointModel):
-            # FixedBlock stores codes transposed (dim, n_classes); rows of
-            # codes.T are per-class patterns whose signs mirror the stored
-            # representation's signs exactly.
-            source = block.codes.T
-        else:
-            source = block.class_weights.T
-        blocks.append(
-            packed_block(
-                block.start, block.stop, block.alpha, block.columns, pack_signs(source)
-            )
-        )
-    return PackedBipolarModel.from_prepared(
-        basis2=engine._basis2,
-        bias=engine._bias,
-        sin_bias=engine._sin_bias,
-        blocks=blocks,
-        classes=engine.classes_,
-        aggregation=engine.aggregation,
-        dtype=engine.dtype,
-        chunk_size=engine.chunk_size,
-        shared_projection=engine.shared_projection,
-        score_threads=engine.score_threads,
-    )
+    _, meta, arrays = engine.state()
+    # Float weights and fixed codes are both stored transposed (dim,
+    # n_classes); rows of the transpose are per-class patterns whose signs
+    # mirror the stored representation's signs exactly.
+    source = engine.block_type.ARRAYS[0]
+    for i, entry in enumerate(meta["blocks"]):
+        entry.pop("scale", None)  # fixed-point only; sign words carry no scale
+        rows = pack_signs(arrays[f"block{i}.{source}"].T)
+        arrays[f"block{i}.words"] = packed_block(packed_rows=rows, **entry).words
+    return CompiledModel.from_state(PackedBipolarModel.kind, meta, arrays)
 
 
 class DegradationLadder:

@@ -211,13 +211,11 @@ class AdaptiveModel:
     @staticmethod
     def _validate_precision(precision: str) -> None:
         """Fail at configuration time, not on the first scoring call."""
-        from ..engine.cascade import CASCADE_PRECISIONS
-        from ..engine.quant import QUANT_PRECISIONS
+        from ..engine import PRECISIONS
 
-        known = ("float64",) + QUANT_PRECISIONS + ("cascade",) + CASCADE_PRECISIONS
-        if precision not in known:
+        if precision not in PRECISIONS:
             raise ValueError(
-                f"unknown serving precision {precision!r}; available: {known}"
+                f"unknown serving precision {precision!r}; available: {PRECISIONS}"
             )
 
     @property

@@ -422,10 +422,11 @@ class ServingFabric:
     Parameters
     ----------
     engine:
-        A compiled scoring engine (:class:`~repro.engine.CompiledModel`,
-        :class:`~repro.engine.PackedBipolarModel` or
-        :class:`~repro.engine.FixedPointModel`) — published once into
-        shared memory; workers attach, never copy.
+        A compiled scoring engine of any precision
+        (:class:`~repro.engine.CompiledModel` or one of its quantized and
+        cascade variants) — published once into shared memory through
+        :meth:`~repro.engine.CompiledModel.state`; workers attach, never
+        copy.
     n_workers:
         Worker count; ``None`` consults ``REPRO_FABRIC_WORKERS`` then
         ``REPRO_MAX_WORKERS`` and falls back to the in-process serial
@@ -536,7 +537,7 @@ class ServingFabric:
         """Build a fabric straight from a stored registry artifact."""
         compile_options = {
             key: options.pop(key)
-            for key in ("dtype", "chunk_size", "cache_size", "cache_bytes")
+            for key in ("dtype", "chunk_size", "cache_size", "cache_bytes", "threshold")
             if key in options
         }
         engine = registry.load_compiled(

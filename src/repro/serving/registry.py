@@ -630,20 +630,16 @@ class ModelRegistry:
         and an integer second tier reuses the stored codes, neither through
         float — and accept an extra ``threshold`` compile option.
         """
-        from ..engine import compile_model
-        from ..engine.quant import QUANT_PRECISIONS
+        from ..engine import PRECISIONS, compile_model
 
+        if precision not in PRECISIONS:
+            raise RegistryError(
+                f"unknown precision {precision!r}; available: {PRECISIONS}"
+            )
         if precision == "float64":
             return compile_model(self._load_model(name, version), **compile_options)
-        if precision == "cascade" or precision.startswith("cascade-"):
+        if precision.startswith("cascade"):
             return self._load_cascade_engine(name, version, precision, compile_options)
-        if precision not in QUANT_PRECISIONS:
-            from ..engine.cascade import CASCADE_PRECISIONS
-
-            raise RegistryError(
-                f"unknown precision {precision!r}; available: "
-                f"{('float64',) + QUANT_PRECISIONS + ('cascade',) + CASCADE_PRECISIONS}"
-            )
         return self._load_quantized_engine(name, version, precision, compile_options)
 
     def _load_cascade_engine(
@@ -665,10 +661,7 @@ class ModelRegistry:
             second_tier_precision,
         )
 
-        try:
-            second_precision = second_tier_precision(precision)
-        except Exception as error:
-            raise RegistryError(str(error)) from error
+        second_precision = second_tier_precision(precision)
         threshold = compile_options.pop("threshold", DEFAULT_THRESHOLD)
         # _load_quantized_engine consumes its options dict; hand each tier
         # its own copy.  The second tier only ever scores pre-encoded rows,

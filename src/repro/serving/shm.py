@@ -4,17 +4,17 @@ The serving fabric (:mod:`repro.serving.fabric`) runs one scoring engine per
 worker process.  Engines are mostly *read-only array bundles* — the fused
 projection, the phase bias, and the per-learner class representations — so
 instead of pickling a model into every worker (N full copies), a single
-writer lays every array of a compiled engine into one named
+writer lays every array of a compiled engine's state
+(:meth:`repro.engine.CompiledModel.state`) into one named
 :class:`multiprocessing.shared_memory.SharedMemory` segment and hands the
 workers a small picklable *manifest* describing the layout.  Each worker
-attaches the segment and rebuilds the engine with the ``from_prepared``
-constructors (:meth:`repro.engine.CompiledModel.from_prepared`,
-:func:`repro.engine.quant.packed_block_from_words`,
-:func:`repro.engine.quant.fixed_block_from_codes`): every large array is an
+attaches the segment and rebuilds the engine with
+:meth:`repro.engine.CompiledModel.from_state`: every large array is an
 ndarray *view* into the shared mapping, so N workers cost one copy of the
-model plus kilobytes of per-worker bookkeeping.  The packed/fixed engines
-(~62x smaller class payloads than float64) make the segments small enough to
-hot-swap freely.
+model plus kilobytes of per-worker bookkeeping.  Every engine kind —
+float, packed, fixed-point and cascade — travels the same way; the
+packed/fixed engines (~62x smaller class payloads than float64) make the
+segments small enough to hot-swap freely.
 
 Segment lifecycle
 -----------------
@@ -52,15 +52,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from ..engine.compile import CompiledModel, EngineError, LearnerBlock
-from ..engine.quant import (
-    FixedBlock,
-    FixedPointModel,
-    PackedBipolarModel,
-    PackedBlock,
-    fixed_block_from_codes,
-    packed_block_from_words,
-)
+from ..engine.compile import CompiledModel, EngineError
 from ..resilience.chaos import CHAOS, corrupt_bytes
 
 __all__ = [
@@ -143,26 +135,6 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _engine_kind(engine: CompiledModel) -> str:
-    if not isinstance(engine, CompiledModel) or not engine.blocks:
-        raise EngineError(
-            f"cannot publish {type(engine).__name__} to shared memory; "
-            f"expected a compiled engine with learner blocks"
-        )
-    block = engine.blocks[0]
-    if isinstance(engine, FixedPointModel) and isinstance(block, FixedBlock):
-        return "fixed"
-    if isinstance(engine, PackedBipolarModel) and isinstance(block, PackedBlock):
-        return "packed"
-    if type(engine) is CompiledModel and isinstance(block, LearnerBlock):
-        return "float"
-    raise EngineError(
-        f"cannot publish {type(engine).__name__} to shared memory; supported "
-        f"engines: CompiledModel, PackedBipolarModel, FixedPointModel "
-        f"(publish cascade stages individually)"
-    )
-
-
 # ------------------------------------------------------------------ publish
 @dataclass
 class SharedModel:
@@ -219,43 +191,26 @@ class SharedModel:
 def publish_engine(
     engine: CompiledModel, *, generation: int = 0, name: str | None = None
 ) -> SharedModel:
-    """Lay a compiled engine's arrays into one named shared-memory segment.
+    """Lay a compiled engine's state arrays into one named shared-memory segment.
 
-    Copies every model array — the fused projection ``_basis2``, the phase
-    bias pair, and each block's class payload (float weights, padded sign
-    words, or transposed fixed-point codes with their reciprocal norms) —
-    into a fresh segment, exactly once.  Returns the :class:`SharedModel`
-    whose picklable ``manifest`` lets any process rebuild the engine over
-    the shared buffers via :func:`attach_engine`.
+    Copies every array of :meth:`~repro.engine.CompiledModel.state` — the
+    fused projection, the phase bias pair, and each block's class payload
+    (a cascade's shared projection only once) — into a fresh segment,
+    exactly once.  Returns the :class:`SharedModel` whose picklable
+    ``manifest`` lets any process rebuild the engine over the shared
+    buffers via :func:`attach_engine`.
     """
-    kind = _engine_kind(engine)
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("basis2", engine._basis2),
-        ("bias", engine._bias),
-        ("sin_bias", engine._sin_bias),
-    ]
-    blocks: list[dict] = []
-    for i, block in enumerate(engine.blocks):
-        entry: dict = {
-            "start": int(block.start),
-            "stop": int(block.stop),
-            "alpha": float(block.alpha),
-            "columns": np.asarray(block.columns),
-        }
-        if kind == "float":
-            arrays.append((f"block{i}.class_weights", block.class_weights))
-        elif kind == "packed":
-            arrays.append((f"block{i}.words", block.words))
-        else:
-            entry["scale"] = float(block.scale)
-            arrays.append((f"block{i}.codes", block.codes))
-            arrays.append((f"block{i}.inv_norms", block.inv_norms))
-        blocks.append(entry)
+    if not isinstance(engine, CompiledModel):
+        raise EngineError(
+            f"cannot publish {type(engine).__name__} to shared memory; "
+            f"expected a compiled engine"
+        )
+    kind, meta, arrays = engine.state()
 
     specs: dict[str, dict] = {}
     offset = 0
     payload = 0
-    for key, array in arrays:
+    for key, array in arrays.items():
         array = np.ascontiguousarray(array)
         offset = -(-offset // _ALIGN) * _ALIGN
         specs[key] = {
@@ -269,7 +224,7 @@ def publish_engine(
     segment = name or _segment_name(generation)
     shm = shared_memory.SharedMemory(name=segment, create=True, size=max(offset, 1))
     try:
-        for key, array in arrays:
+        for key, array in arrays.items():
             spec = specs[key]
             contiguous = np.ascontiguousarray(array)
             view = np.ndarray(
@@ -301,15 +256,8 @@ def publish_engine(
         "kind": kind,
         "publisher_pid": publisher_pid,
         "publisher_token": _process_start_token(publisher_pid),
-        "precision": getattr(engine, "precision", "float64"),
-        "dtype": engine.dtype.str,
-        "aggregation": engine.aggregation,
-        "chunk_size": engine.chunk_size,
-        "shared_projection": engine.shared_projection,
-        "score_threads": engine.score_threads,
-        "classes": np.asarray(engine.classes_),
+        "meta": meta,
         "arrays": specs,
-        "blocks": blocks,
         "payload_bytes": payload,
     }
     return SharedModel(manifest=manifest, _shm=shm)
@@ -400,57 +348,10 @@ class AttachedEngine:
         return view
 
     def _build(self) -> CompiledModel:
-        manifest = self.manifest
-        kind = manifest["kind"]
-        blocks = []
-        for i, entry in enumerate(manifest["blocks"]):
-            start, stop = entry["start"], entry["stop"]
-            alpha, columns = entry["alpha"], entry["columns"]
-            if kind == "float":
-                blocks.append(
-                    LearnerBlock(
-                        start=start,
-                        stop=stop,
-                        alpha=alpha,
-                        columns=columns,
-                        class_weights=self._view(f"block{i}.class_weights"),
-                    )
-                )
-            elif kind == "packed":
-                blocks.append(
-                    packed_block_from_words(
-                        start, stop, alpha, columns, self._view(f"block{i}.words")
-                    )
-                )
-            else:
-                blocks.append(
-                    fixed_block_from_codes(
-                        start,
-                        stop,
-                        alpha,
-                        columns,
-                        self._view(f"block{i}.codes"),
-                        entry["scale"],
-                        self._view(f"block{i}.inv_norms"),
-                    )
-                )
-        options = dict(
-            basis2=self._view("basis2"),
-            bias=self._view("bias"),
-            sin_bias=self._view("sin_bias"),
-            blocks=blocks,
-            classes=manifest["classes"],
-            aggregation=manifest["aggregation"],
-            dtype=np.dtype(manifest["dtype"]),
-            chunk_size=manifest["chunk_size"],
-            shared_projection=manifest["shared_projection"],
-            score_threads=manifest["score_threads"],
+        arrays = {key: self._view(key) for key in self.manifest["arrays"]}
+        return CompiledModel.from_state(
+            self.manifest["kind"], self.manifest["meta"], arrays
         )
-        if kind == "float":
-            return CompiledModel.from_prepared(**options)
-        if kind == "packed":
-            return PackedBipolarModel.from_prepared(**options)
-        return FixedPointModel.from_prepared(precision=manifest["precision"], **options)
 
     def close(self) -> None:
         """Drop the engine and this process's mapping of the segment."""

@@ -36,8 +36,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import BoostHD
-from repro.engine import EngineError, compile_model
-from repro.engine.quant import fixed_block_from_codes, packed_block_from_words
+from repro.engine import PRECISIONS, CompiledModel, EngineError, compile_model
 from repro.runtime.executor import resolve_max_workers
 from repro.serving import (
     DriftMonitor,
@@ -73,9 +72,7 @@ def engines(fitted_pair):
     model_a, _ = fitted_pair
     return {
         precision: compile_model(model_a, precision=precision)
-        if precision != "float64"
-        else compile_model(model_a)
-        for precision in ("float64", "bipolar-packed", "fixed16", "fixed8")
+        for precision in PRECISIONS
     }
 
 
@@ -151,8 +148,32 @@ class TestShardRouting:
 
 # ------------------------------------------------------------- shared memory
 class TestSharedMemoryModels:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    def test_state_round_trip_is_bit_identical(self, engines, precision):
+        engine = engines[precision]
+        queries = np.random.default_rng(4).normal(size=(40, N_FEATURES))
+        clone = CompiledModel.from_state(*engine.state())
+        assert type(clone) is type(engine)
+        assert clone.precision == engine.precision
+        assert np.array_equal(
+            engine.decision_function(queries), clone.decision_function(queries)
+        )
+        # from_state adopts the arrays: the clone scores over the same buffers.
+        originals = engine.state()[2]
+        for key, array in clone.state()[2].items():
+            assert array is originals[key]
+
     @pytest.mark.parametrize(
-        "precision", ["float64", "bipolar-packed", "fixed16", "fixed8"]
+        "precision",
+        [
+            "float64",
+            "bipolar-packed",
+            "fixed16",
+            "fixed8",
+            "cascade-fixed16",
+            "cascade-fixed8",
+            "cascade-float64",
+        ],
     )
     def test_attach_is_bit_identical_and_zero_copy(self, engines, precision):
         engine = engines[precision]
@@ -170,15 +191,31 @@ class TestSharedMemoryModels:
                 assert np.array_equal(
                     engine.predict(queries), attached.engine.predict(queries)
                 )
-                # The large arrays are *views* over the shared segment —
-                # nothing was copied, nothing is writable.
-                for array in (
-                    attached.engine._basis2,
-                    attached.engine._bias,
-                    attached.engine._sin_bias,
-                ):
+                # Every state array — a cascade's second tier included — is a
+                # *view* over the shared segment: nothing copied, nothing
+                # writable.
+                kind, _, arrays = attached.engine.state()
+                assert kind == engine.state()[0]
+                for array in arrays.values():
                     assert not array.flags.owndata
                     assert not array.flags.writeable
+                if kind == "cascade":
+                    assert attached.engine.second._basis2 is attached.engine._basis2
+                    # The shared projection is laid out once, not per tier.
+                    projection = sum(
+                        array.nbytes
+                        for key, array in engine.state()[2].items()
+                        if not key.startswith(("block", "second."))
+                    )
+                    first = publish_engine(engine.first)
+                    second_alone = publish_engine(engine.second)
+                    try:
+                        assert shared.nbytes == (
+                            first.nbytes + second_alone.nbytes - projection
+                        )
+                    finally:
+                        first.unlink()
+                        second_alone.unlink()
             finally:
                 attached.close()
         finally:
@@ -233,31 +270,32 @@ class TestSharedMemoryModels:
             keeper.close()
             keeper.unlink()
 
-    def test_zero_copy_block_constructors_validate(self):
+    def test_zero_copy_block_constructors_validate(self, engines):
+        """from_state adopts outside arrays, so it refuses malformed blocks."""
+        dim = engines["fixed16"].blocks[0].dim
+
+        def from_state_with(precision, key, array):
+            kind, meta, arrays = engines[precision].state()
+            return CompiledModel.from_state(kind, meta, {**arrays, key: array})
+
         with pytest.raises(EngineError, match="uint64"):
-            packed_block_from_words(0, 64, 1.0, np.arange(2), np.zeros((2, 1)))
+            from_state_with("bipolar-packed", "block0.words", np.zeros((3, 1)))
         with pytest.raises(EngineError, match="words wide"):
-            packed_block_from_words(
-                0, 128, 1.0, np.arange(2), np.zeros((2, 1), dtype=np.uint64)
+            from_state_with(
+                "bipolar-packed", "block0.words", np.zeros((3, 1), np.uint64)
             )
         with pytest.raises(EngineError, match="int8 or int16"):
-            fixed_block_from_codes(
-                0, 4, 1.0, np.arange(2), np.zeros((4, 2)), 1.0, np.ones(2)
-            )
+            from_state_with("fixed16", "block0.codes", np.zeros((dim, 3)))
         with pytest.raises(EngineError, match="span"):
-            fixed_block_from_codes(
-                0, 5, 1.0, np.arange(2), np.zeros((4, 2), np.int16), 1.0, np.ones(2)
-            )
+            from_state_with("fixed16", "block0.codes", np.zeros((dim - 1, 3), np.int16))
         with pytest.raises(EngineError, match="inv_norms"):
-            fixed_block_from_codes(
-                0, 4, 1.0, np.arange(2), np.zeros((4, 2), np.int16), 1.0, np.ones(3)
-            )
+            from_state_with("fixed16", "block0.inv_norms", np.ones(4))
 
 
 # --------------------------------------------------------------- equivalence
 class TestFabricEquivalence:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    @pytest.mark.parametrize("precision", ["bipolar-packed", "fixed16"])
+    @pytest.mark.parametrize("precision", ["bipolar-packed", "fixed16", "cascade-fixed16"])
     def test_sharded_serving_matches_single_process(
         self, engines, n_workers, precision
     ):

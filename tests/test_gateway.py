@@ -46,8 +46,14 @@ from repro.gateway.http import (
     parse_request_head,
 )
 from repro.gateway.limits import ConcurrencyLimiter
+from repro.core import BoostHD
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
-from repro.serving import MicroBatchScheduler, StreamingService
+from repro.serving import (
+    MicroBatchScheduler,
+    ModelRegistry,
+    ServingFabric,
+    StreamingService,
+)
 
 pytestmark = pytest.mark.gateway
 
@@ -657,6 +663,97 @@ def test_gateway_predictions_bit_identical_to_in_process():
         assert served.keys() == collected.keys()
         for key, scores in collected.items():
             assert served[key] == scores  # bit-identical: json floats round-trip
+
+    run(scenario())
+
+
+# ------------------------------------------------------------ fabric hot swap
+@pytest.fixture(scope="module")
+def swap_registry(tmp_path_factory):
+    """Two stored versions of one model, for registry-driven swaps."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, N_FEATURES))
+    y = rng.integers(0, 3, size=200)
+    registry = ModelRegistry(tmp_path_factory.mktemp("gateway-registry"))
+    for seed in (0, 1):
+        model = BoostHD(total_dim=512, n_learners=4, epochs=1, seed=seed)
+        registry.save("m", model.fit(X, y))
+    return registry
+
+
+async def start_fabric_gateway(registry) -> Gateway:
+    """A gateway over a 2-worker cascade fabric that buffers until flushed."""
+    fabric = ServingFabric.from_registry(
+        registry,
+        "m",
+        1,
+        precision="cascade-fixed16",
+        threshold=0.1,
+        n_workers=2,
+        n_channels=N_CHANNELS,
+        window_samples=WINDOW,
+        step_samples=WINDOW,
+        smoothing_window=1,
+        max_batch=16,
+        max_wait=1e9,
+    )
+    if fabric.serial:
+        fabric.shutdown()
+        pytest.skip("process pools unavailable on this platform")
+    return await start_gateway(fabric, registry=registry, registry_name="m")
+
+
+def test_fabric_swap_answers_pending_windows_exactly_once(swap_registry):
+    async def scenario():
+        gateway = await start_fabric_gateway(swap_registry)
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                status, body = await client.feed("s1", chunk(1))
+                assert status == 200
+                assert body["predictions"] == []  # pending in a worker
+                status, body = await client.swap(
+                    version=2, precision="cascade-fixed16", threshold=0.1
+                )
+                assert status == 200
+                assert body["swapped"] is True and body["generation"] == 1
+                _, body = await client.score("s1")
+                answered = [wire["window_index"] for wire in body["predictions"]]
+                _, body = await client.score("s1")
+                answered += [wire["window_index"] for wire in body["predictions"]]
+        finally:
+            await gateway.shutdown(2.0)
+        assert answered == [0]
+
+    run(scenario())
+
+
+def test_fabric_swap_refused_on_corrupt_segment(swap_registry):
+    async def scenario():
+        gateway = await start_fabric_gateway(swap_registry)
+        plan = FaultPlan(
+            seed=3, faults=(FaultSpec(point="shm.publish", kind="corrupt", at=(1,)),)
+        )
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                await client.feed("s1", chunk(1))
+                with inject(plan):
+                    status, body = await client.swap(
+                        version=2, precision="cascade-fixed16", threshold=0.1
+                    )
+                assert status == 409
+                assert body["swapped"] is False
+                assert "integrity" in body["error"]
+                assert body["generation"] == 0
+                _, model = await client.model()
+                assert model["generation"] == 0
+                # The refused swap flushed nothing: the window is still
+                # pending on the old model and is answered by the next flush.
+                _, body = await client.score("s1")
+                assert [wire["window_index"] for wire in body["predictions"]] == [0]
+        finally:
+            await gateway.shutdown(2.0)
 
     run(scenario())
 
