@@ -5,20 +5,22 @@ Holds :mod:`repro.serving` to its contract at a 64-session concurrent load:
 * **Throughput** — micro-batched scheduling (one fused ``CompiledModel``
   call per coalesced batch) must reach >= 2x the windows/second of scoring
   each session's windows individually, with *identical* predictions.
-* **Featurization** — the incremental per-sample path must match the batch
-  feature pipeline to <= 1e-9 on simulator streams.
+* **Featurization** — ``StreamSession`` must be bit-identical to the batch
+  feature pipeline on simulator streams.
 * **Registry** — a save -> load -> compile round trip must reproduce the
   served predictions exactly.
 * **Cascade** — micro-batched serving behind a calibrated
   ``cascade-fixed16`` engine must reach >= 2x the windows/second of the
-  same load served by the plain fixed16 engine, with predictions identical
-  to the cascade's direct ``predict``.
+  same load served by the plain fixed16 engine, with a finite threshold,
+  a nonzero rerank fraction, and predictions identical to the cascade's
+  direct ``predict``.
 
 Fast mode for CI (fewer sessions/windows, same assertions)::
 
     REPRO_BENCH_FAST=1 PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q
 """
 
+import math
 import os
 import time
 
@@ -43,6 +45,10 @@ CASCADE_SERVING_FLOOR = 2.0
 #: per-window scheduler overhead (shared by both paths) dilutes the packed
 #: tier's advantage and the ratio measures bookkeeping, not scoring.
 CASCADE_TOTAL_DIM = 10_000
+#: Spread of the cascade contract's windows around the class centers: wide
+#: enough that some windows are near ties the packed tier gets wrong, so the
+#: calibrated threshold is finite and the served load reranks.
+CASCADE_NOISE = 1.5
 
 N_FEATURES = len(CHANNELS) * 4
 
@@ -175,8 +181,8 @@ def test_incremental_featurization_matches_batch_on_streams():
         assert len(ready) == len(reference)
         produced = np.stack([r.features for r in ready])
         worst = max(worst, float(np.abs(produced - reference).max()))
-    print(f"\nIncremental vs batch featurization: max |error| = {worst:.2e}")
-    assert worst <= 1e-9
+    print(f"\nStreamed vs batch featurization: max |error| = {worst:.2e}")
+    assert worst == 0.0
 
 
 def test_registry_round_trip_preserves_served_predictions(tmp_path):
@@ -218,14 +224,15 @@ def test_cascade_serving_throughput_vs_fixed16():
     """Calibrated cascade serving >= 2x fixed16 serving, same predictions.
 
     The serving windows are drawn *in distribution* (around the training
-    class centers): streamed physiological windows look like the cohort the
-    model was trained on, and in-distribution margins are what make the
-    cascade's early exit pay — the packed first pass settles confident
-    windows and only near-tie windows reach the fixed16 rerank.  The
-    threshold comes from ``calibrate_threshold`` in parity mode on a
-    held-out cohort draw, and the served predictions must equal the
-    cascade's direct ``predict`` on the same windows (both tiers are
-    integer-exact, so micro-batch composition cannot change a label).
+    class centers), spread by ``CASCADE_NOISE`` so the load holds some
+    near-tie windows on which the packed tier disagrees with fixed16.  The
+    threshold comes from ``calibrate_threshold`` in parity mode, with full
+    parity required, on a held-out draw from the same distribution; it must
+    be finite and the served load must actually rerank, so the ratio times
+    both tiers and not the packed first pass alone.  The served predictions
+    must equal the cascade's direct ``predict`` on the same windows (both
+    tiers are integer-exact, so micro-batch composition cannot change a
+    label).
     """
     model, _, centers = _fitted_engine(total_dim=CASCADE_TOTAL_DIM)
     fixed16 = compile_model(
@@ -236,18 +243,21 @@ def test_cascade_serving_throughput_vs_fixed16():
     )
 
     rng = np.random.default_rng(9)
+    calibration_draw = centers[
+        rng.integers(0, len(centers), 4 * MAX_BATCH)
+    ] + CASCADE_NOISE * rng.standard_normal((4 * MAX_BATCH, N_FEATURES))
+    calibration = cascade.calibrate_threshold(calibration_draw, target=1.0)
+    assert math.isfinite(calibration.threshold), calibration
     features = centers[
         rng.integers(0, len(centers), (N_SESSIONS, WINDOWS_PER_SESSION))
-    ] + rng.standard_normal((N_SESSIONS, WINDOWS_PER_SESSION, N_FEATURES))
+    ] + CASCADE_NOISE * rng.standard_normal(
+        (N_SESSIONS, WINDOWS_PER_SESSION, N_FEATURES)
+    )
     order = [
         (session, window)
         for window in range(WINDOWS_PER_SESSION)
         for session in range(N_SESSIONS)
     ]
-    calibration_draw = centers[
-        rng.integers(0, len(centers), 4 * MAX_BATCH)
-    ] + rng.standard_normal((4 * MAX_BATCH, N_FEATURES))
-    calibration = cascade.calibrate_threshold(calibration_draw, target=0.99)
 
     flat = features.reshape(-1, N_FEATURES)
     direct = dict(
@@ -270,6 +280,7 @@ def test_cascade_serving_throughput_vs_fixed16():
 
     assert cascade_labels == direct
     assert set(fixed16_labels) == set(cascade_labels)
+    assert cascade.stats.rerank_fraction > 0
 
     n_windows = len(order)
     ratio = fixed16_seconds / cascade_seconds

@@ -12,7 +12,7 @@ The script walks the full serving lifecycle of :mod:`repro.serving`:
    registry (no retraining) and stand up a :class:`~repro.serving.StreamingService`,
 3. stream a cohort of simulated subjects — each in their own affective state
    — chunk by chunk into per-subject sessions; completed windows are
-   featurized incrementally and scored in micro-batches,
+   featurized and scored in micro-batches,
 4. report per-subject predictions and the scheduler's batching/latency
    statistics, then demonstrate drift-aware online adaptation from a few
    labeled feedback windows.

@@ -17,7 +17,7 @@ for Enhanced Reliability in Healthcare"* (DATE 2025) end to end on plain
   fitted ensemble into a single-pass scorer (stacked projections, one
   block-diagonal-aware matmul, chunked streaming, optional encoding cache),
 * :mod:`repro.serving` — the streaming service layer: per-subject sessions
-  with incremental featurization, a micro-batching scheduler over the fused
+  featurizing streamed windows, a micro-batching scheduler over the fused
   engine, a versioned model registry, and drift-aware online adaptation,
 * :mod:`repro.runtime` — the parallel, resumable experiment runtime: grid
   plans with deterministically derived per-cell seeds, a process-pool

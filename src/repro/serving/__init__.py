@@ -6,9 +6,9 @@ subpackage is the missing layer between the two — it turns the fused batch
 engine (:mod:`repro.engine`) into a long-running service:
 
 * :mod:`repro.serving.session` — per-subject :class:`StreamSession` objects
-  that ingest raw multi-channel samples and emit feature vectors via
-  incremental (O(1)-per-sample) featurization, provably equal to the batch
-  pipeline's :func:`repro.data.features.extract_features`;
+  that ingest raw multi-channel samples and featurize each completed window
+  with the batch pipeline's :func:`repro.data.features.extract_features`,
+  so streamed features are bit-identical to it;
 * :mod:`repro.serving.scheduler` — :class:`MicroBatchScheduler` coalesces
   ready windows from any number of concurrent sessions into fused
   ``CompiledModel`` calls under ``max_batch`` / ``max_wait`` bounds, so
@@ -54,8 +54,8 @@ Quick start::
 
 ``benchmarks/bench_serving.py`` holds the subsystem to its contract:
 micro-batched scheduling at >= 2x the throughput of per-session scoring at
-64 concurrent sessions with identical predictions, incremental features
-within 1e-9 of the batch pipeline, and exact registry round trips.
+64 concurrent sessions with identical predictions, streamed features
+bit-identical to the batch pipeline, and exact registry round trips.
 """
 
 from .adaptation import AdaptiveModel, DriftMonitor

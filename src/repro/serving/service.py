@@ -190,7 +190,7 @@ class StreamingService:
     def push(self, session_id: str, samples: np.ndarray) -> list[Prediction]:
         """Feed raw samples for one subject; return newly released predictions.
 
-        Completed windows are featurized incrementally inside the session and
+        Completed windows are featurized inside the session and
         submitted to the scheduler; the scheduler releases fused batches per
         its ``max_batch`` / ``max_wait`` policy, so the returned list may
         contain predictions for *other* sessions whose windows shared the
