@@ -154,7 +154,7 @@ def test_nominal_load_p99_latency_bounded():
 
         await asyncio.gather(*(one_client(i) for i in range(N_CLIENTS)))
         try:
-            submitted = gateway.backend.stats()[0]["windows_submitted"]
+            submitted = gateway.backend.shard_stats()[0]["windows_submitted"]
         finally:
             await gateway.shutdown(DRAIN_DEADLINE)
         return latencies, delivered, submitted
@@ -227,7 +227,7 @@ def test_overload_sheds_explicitly_and_keeps_goodput():
                 await _drain_sessions(client, [session_id], delivered)
 
         await asyncio.gather(*(one_client(i) for i in range(N_CLIENTS)))
-        stats = gateway.backend.stats()[0]
+        stats = gateway.backend.shard_stats()[0]
         await gateway.shutdown(DRAIN_DEADLINE)
         return outcomes, delivered, windows_accepted, stats
 
@@ -279,14 +279,14 @@ def test_sigterm_drains_within_deadline_with_zero_loss():
                     status, body = await client.feed(session_id, samples)
                     assert status == 200
                     _collect(body, delivered)
-        submitted = gateway.backend.stats()[0]["windows_submitted"]
+        submitted = gateway.backend.shard_stats()[0]["windows_submitted"]
         started = time.monotonic()
         os.kill(os.getpid(), signal.SIGTERM)  # the real thing, not a method call
         while gateway._shutdown_task is None:
             await asyncio.sleep(0.001)
         report = await gateway._shutdown_task
         drain_seconds = time.monotonic() - started
-        stats = gateway.backend.stats()[0]
+        stats = gateway.backend.shard_stats()[0]
         return report, drain_seconds, submitted, len(delivered), stats, gateway.stats
 
     report, drain_seconds, submitted, delivered_live, stats, gw_stats = asyncio.run(
@@ -306,7 +306,7 @@ def test_sigterm_drains_within_deadline_with_zero_loss():
     # a mailbox/the orphan ledger during the drain
     assert delivered_live + report["undelivered"] == expected
     assert gw_stats.windows_answered + gw_stats.windows_shed == expected
-    assert stats["windows_submitted"] == stats["windows_scored"] + stats["windows_shed"]
+    assert stats["windows_submitted"] == stats["windows"] + stats["windows_shed"]
     assert stats["pending"] == 0
 
 

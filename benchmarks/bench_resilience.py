@@ -189,7 +189,7 @@ def test_goodput_under_faults():
                 except Exception:
                     push_failures += 1
             faults_seen = fabric.timeouts + fabric.restarts
-            shard_stats = fabric.stats()
+            shard_stats = fabric.shard_stats()
     elapsed = time.perf_counter() - start_all
 
     shed = sum(shard["windows_shed"] for shard in shard_stats)

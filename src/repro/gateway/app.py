@@ -42,7 +42,9 @@ the backend.
 
 The backend runs on a dedicated single-thread executor: the scheduler stays
 single-threaded (its design contract) while the event loop stays free to
-multiplex thousands of sockets.
+multiplex thousands of sockets.  Both backends implement one serving-backend
+protocol (see :mod:`repro.serving.service`), so the gateway calls them
+directly, with no per-backend adapter.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -152,151 +155,6 @@ class _WsRoute:
         self.queue: asyncio.Queue = asyncio.Queue()
 
 
-class _ServiceBackend:
-    """Uniform backend facade over an in-process :class:`StreamingService`."""
-
-    kind = "service"
-
-    def __init__(self, service: StreamingService) -> None:
-        self.service = service
-        self.generation = 0
-        self.swaps = 0
-
-    def open(self, session_id: str, overrides: dict) -> None:
-        self.service.open_session(session_id, **overrides)
-
-    def close(self, session_id: str):
-        return self.service.close_session(session_id)
-
-    def push(self, session_id: str, samples: np.ndarray):
-        return self.service.push(session_id, samples)
-
-    def drain(self, deadline: Deadline | None = None):
-        return self.service.drain()
-
-    def swap(self, registry, name, version, precision, compile_options):
-        engine = registry.load_compiled(
-            name, version, precision=precision, **(compile_options or {})
-        )
-        flushed = self.service.swap_scorer(engine)
-        self.generation += 1
-        self.swaps += 1
-        return flushed
-
-    def sessions(self) -> tuple[str, ...]:
-        return tuple(self.service.sessions)
-
-    def stats(self) -> list[dict]:
-        stats = self.service.stats
-        return [
-            {
-                "windows_submitted": stats.windows_submitted,
-                "windows_scored": stats.windows_scored,
-                "windows_shed": stats.windows_shed,
-                "windows_dead": stats.windows_dead,
-                "pending": self.service.scheduler.pending,
-                "batches": stats.batches,
-                "score_failures": stats.score_failures,
-                "p50_ms": stats.latency_percentile(50) * 1e3,
-                "p99_ms": stats.latency_percentile(99) * 1e3,
-            }
-        ]
-
-    def ready_report(self) -> dict:
-        ladder = self.service.scheduler.degradation
-        return {
-            "brownout": bool(ladder.active) if ladder is not None else False,
-            "breakers": [],
-        }
-
-    def dead_letters(self) -> list:
-        return list(self.service.dead_letters)
-
-    def replay_dead_letters(self):
-        return self.service.replay_dead_letters()
-
-    def shutdown(self) -> None:
-        pass  # the service owns no processes; drain() already flushed
-
-
-class _SwapRefused(RuntimeError):
-    """The backend declined a swap; the old model keeps serving."""
-
-
-class _FabricBackend:
-    """Uniform backend facade over a multi-process :class:`ServingFabric`."""
-
-    kind = "fabric"
-
-    def __init__(self, fabric: ServingFabric) -> None:
-        self.fabric = fabric
-
-    @property
-    def generation(self) -> int:
-        return self.fabric.generation
-
-    @property
-    def swaps(self) -> int:
-        return self.fabric.swaps
-
-    def open(self, session_id: str, overrides: dict) -> None:
-        self.fabric.open_session(session_id, **overrides)
-
-    def close(self, session_id: str) -> None:
-        self.fabric.close_session(session_id)
-
-    def push(self, session_id: str, samples: np.ndarray):
-        return self.fabric.push(session_id, samples)
-
-    def drain(self, deadline: Deadline | None = None):
-        return self.fabric.drain(deadline=deadline)
-
-    def swap(self, registry, name, version, precision, compile_options):
-        result = self.fabric.swap_from_registry(
-            registry, name, version, precision=precision, **(compile_options or {})
-        )
-        if not result.promoted:
-            raise _SwapRefused(result.reason)
-        return list(result.flushed)
-
-    def sessions(self) -> tuple[str, ...]:
-        return self.fabric.sessions
-
-    def stats(self) -> list[dict]:
-        return self.fabric.stats()
-
-    def ready_report(self) -> dict:
-        return {
-            "brownout": False,
-            "breakers": [breaker.state for breaker in self.fabric.breakers],
-        }
-
-    def dead_letters(self) -> list:
-        return []  # dead letters live inside worker processes
-
-    def replay_dead_letters(self):
-        raise NotImplementedError(
-            "dead-letter replay is not reachable through a fabric backend; "
-            "replay inside the worker or use a service backend"
-        )
-
-    def shutdown(self) -> None:
-        self.fabric.shutdown()
-
-
-def _wrap_backend(backend):
-    if isinstance(backend, StreamingService):
-        return _ServiceBackend(backend)
-    if isinstance(backend, ServingFabric):
-        return _FabricBackend(backend)
-    if isinstance(backend, (_ServiceBackend, _FabricBackend)):
-        return backend
-    raise TypeError(
-        f"cannot serve a {type(backend).__name__}; expected a "
-        "StreamingService or ServingFabric"
-    )
-
-
 class Gateway:
     """Asyncio HTTP/1.1 + WebSocket front-end over a serving backend.
 
@@ -351,7 +209,12 @@ class Gateway:
         max_body_bytes: int = 8_388_608,
         clock=time.monotonic,
     ) -> None:
-        self.backend = _wrap_backend(backend)
+        if not isinstance(backend, (StreamingService, ServingFabric)):
+            raise TypeError(
+                f"cannot serve a {type(backend).__name__}; expected a "
+                "StreamingService or ServingFabric"
+            )
+        self.backend = backend
         self.host = host
         self.port = int(port)
         self.registry = registry
@@ -467,7 +330,7 @@ class Gateway:
         try:
             predictions = await asyncio.wait_for(
                 self._loop.run_in_executor(
-                    self._pool, partial(self.backend.drain, deadline)
+                    self._pool, partial(self.backend.drain, deadline=deadline)
                 ),
                 timeout=None if deadline.budget() is None else deadline.budget() + 0.25,
             )
@@ -556,25 +419,26 @@ class Gateway:
         if shed:
             self.stats.bump("windows_shed", shed)
 
-    def _submit_backend(self, fn, *, deliver: bool = True) -> asyncio.Task:
+    def _submit_backend(self, fn, *, released=None) -> asyncio.Task:
         """Run a backend call on the backend thread; deliver on completion.
 
         Delivery happens in the done-callback — not in the awaiting handler
         — so predictions are routed exactly once even when the handler has
-        timed out on its deadline or its client has disconnected.  Calls
-        whose result is not a prediction list (inspection endpoints) pass
-        ``deliver=False``.
+        timed out on its deadline or its client has disconnected.  A list
+        result (``push``/``drain``) is the released predictions; for any
+        other result ``released`` picks them out (a swap's ``flushed``, a
+        replay's prediction list), and without it nothing is delivered.
         """
         task = asyncio.ensure_future(self._loop.run_in_executor(self._pool, fn))
 
         def _on_done(done: asyncio.Task) -> None:
-            if done.cancelled():
+            if done.cancelled() or done.exception() is not None:
                 return
-            error = done.exception()
-            if error is None and deliver:
-                result = done.result()
-                if isinstance(result, list):
-                    self._deliver(result)
+            result = done.result()
+            if released is not None:
+                self._deliver(released(result))
+            elif isinstance(result, list):
+                self._deliver(result)
 
         task.add_done_callback(_on_done)
         return task
@@ -619,13 +483,17 @@ class Gateway:
         except Exception:
             self.stats.bump("handler_errors")
         finally:
-            self._handlers.discard(task)
             self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # The transport is closing either way; ending normally (not
+                # cancelled) keeps asyncio's server callback from logging it.
                 pass
+            # Only now: shutdown reaps every handler still in this set, so
+            # none is left for the loop's teardown to cancel mid-close.
+            self._handlers.discard(task)
 
     async def _connection_loop(self, reader, writer, peer_host: str) -> None:
         while True:
@@ -700,8 +568,6 @@ class Gateway:
                 {"error": str(error)},
                 headers={"Retry-After": f"{max(error.retry_in, 0.05):.3f}"},
             )
-        except NotImplementedError as error:
-            response = json_response(501, {"error": str(error)})
         except Exception as error:
             self.stats.bump("handler_errors")
             response = json_response(
@@ -774,7 +640,7 @@ class Gateway:
             if method == "POST":
                 return await self._create_session(request)
             if method == "GET":
-                return json_response(200, {"sessions": list(self.backend.sessions())})
+                return json_response(200, {"sessions": list(self.backend.sessions)})
             return json_response(405, {"error": f"{method} not allowed on {path}"})
         if len(rest) == 2 and rest[0] == "sessions":
             if method == "DELETE":
@@ -797,14 +663,18 @@ class Gateway:
                 {
                     "backend": self.backend.kind,
                     "generation": self.backend.generation,
-                    "swaps": self.backend.swaps,
+                    # Every promoted swap advances the generation by one.
+                    "swaps": self.backend.generation,
                 },
             )
         if rest == ["model", "swap"] and method == "POST":
             return await self._swap(request)
         if rest == ["dead-letters"] and method == "GET":
+            # Inspection only: run on the backend thread, deliver nothing.
             letters = await self._await_backend(
-                self._submit_backend(self.backend.dead_letters, deliver=False),
+                self._loop.run_in_executor(
+                    self._pool, lambda: list(self.backend.dead_letters)
+                ),
                 deadline,
             )
             return json_response(
@@ -817,7 +687,7 @@ class Gateway:
                 200,
                 {
                     "gateway": self.stats.as_dict(),
-                    "backend": self.backend.stats(),
+                    "backend": self.backend.shard_stats(),
                     "in_flight": self.concurrency.in_flight,
                     "orphaned_predictions": len(self._orphans),
                 },
@@ -838,7 +708,7 @@ class Gateway:
         try:
             await self._await_backend(
                 self._submit_backend(
-                    partial(self.backend.open, session_id, overrides)
+                    partial(self.backend.open_session, session_id, **overrides)
                 ),
                 None,
             )
@@ -852,7 +722,8 @@ class Gateway:
     async def _close_session(self, session_id: str) -> bytes:
         try:
             await self._await_backend(
-                self._submit_backend(partial(self.backend.close, session_id)), None
+                self._submit_backend(partial(self.backend.close_session, session_id)),
+                None,
             )
         except KeyError:
             return json_response(404, {"error": f"no open session {session_id!r}"})
@@ -883,7 +754,7 @@ class Gateway:
         self, session_id: str, request: Request, deadline: Deadline | None
     ) -> bytes:
         samples = self._parse_samples(request.json())
-        if session_id not in self._routes and session_id not in self.backend.sessions():
+        if session_id not in self._routes and session_id not in self.backend.sessions:
             return json_response(404, {"error": f"no open session {session_id!r}"})
         if deadline is not None:
             deadline.check("feed admission")
@@ -914,9 +785,9 @@ class Gateway:
         )
 
     async def _score(self, session_id: str, deadline: Deadline | None) -> bytes:
-        if session_id not in self._routes and session_id not in self.backend.sessions():
+        if session_id not in self._routes and session_id not in self.backend.sessions:
             return json_response(404, {"error": f"no open session {session_id!r}"})
-        task = self._submit_backend(partial(self.backend.drain, deadline))
+        task = self._submit_backend(partial(self.backend.drain, deadline=deadline))
         try:
             await self._await_backend(task, deadline)
         except asyncio.TimeoutError:
@@ -941,28 +812,26 @@ class Gateway:
         version = body.get("version")
         precision = body.get("precision", "float64")
         options = body.get("compile_options") or {}
+
+        def load_and_swap():
+            engine = self.registry.load_compiled(
+                name, version, precision=precision, **options
+            )
+            return self.backend.swap(engine)
+
         try:
-            await self._await_backend(
-                self._submit_backend(
-                    partial(
-                        self.backend.swap,
-                        self.registry,
-                        name,
-                        version,
-                        precision,
-                        options,
-                    )
-                ),
+            result = await self._await_backend(
+                self._submit_backend(load_and_swap, released=attrgetter("flushed")),
                 None,
             )
         except (KeyError, FileNotFoundError) as error:
             return json_response(404, {"error": str(error)})
-        except _SwapRefused as refused:
+        if not result.promoted:
             return json_response(
                 409,
                 {
                     "swapped": False,
-                    "error": str(refused),
+                    "error": result.reason,
                     "generation": self.backend.generation,
                 },
             )
@@ -978,11 +847,12 @@ class Gateway:
         )
 
     async def _replay_dead_letters(self, deadline: Deadline | None) -> bytes:
-        result = await self._await_backend(
-            self._submit_backend(self.backend.replay_dead_letters), deadline
+        replayed, predictions = await self._await_backend(
+            self._submit_backend(
+                self.backend.replay_dead_letters, released=itemgetter(1)
+            ),
+            deadline,
         )
-        replayed, predictions = result
-        self._deliver(predictions)
         if replayed:
             self.stats.bump("dead_letters_replayed", replayed)
         sessions = dict.fromkeys(p.session_id for p in predictions)
@@ -994,17 +864,16 @@ class Gateway:
         return json_response(200, {"replayed": replayed, "predictions": flat})
 
     def _readyz(self) -> bytes:
-        report = self.backend.ready_report()
-        breakers_open = [state for state in report["breakers"] if state == OPEN]
-        ready = not self._draining and not breakers_open
+        breakers = [breaker.state for breaker in self.backend.breakers]
+        ready = not self._draining and OPEN not in breakers
         payload = {
             "ready": ready,
             "draining": self._draining,
-            "brownout": report["brownout"],
-            "breakers": report["breakers"],
+            "brownout": self.backend.brownout,
+            "breakers": breakers,
             "in_flight": self.concurrency.in_flight,
             "saturation": self.concurrency.saturation,
-            "open_sessions": len(self.backend.sessions()),
+            "open_sessions": len(self.backend.sessions),
             "generation": self.backend.generation,
         }
         return json_response(200 if ready else 503, payload)
@@ -1101,7 +970,9 @@ class Gateway:
                 self._routes[session_id] = None  # future deliveries -> orphans
                 try:
                     await asyncio.shield(
-                        self._submit_backend(partial(self.backend.close, session_id))
+                        self._submit_backend(
+                            partial(self.backend.close_session, session_id)
+                        )
                     )
                 except Exception:
                     pass
@@ -1158,7 +1029,7 @@ class Gateway:
                 overrides = message.get("overrides") or {}
                 await asyncio.shield(
                     self._submit_backend(
-                        partial(self.backend.open, session_id, overrides)
+                        partial(self.backend.open_session, session_id, **overrides)
                     )
                 )
                 owned.add(session_id)
@@ -1190,14 +1061,14 @@ class Gateway:
                     {"type": "ack", "op": "feed", "session_id": session_id}
                 )
             elif op == "score":
-                await asyncio.shield(
-                    self._submit_backend(partial(self.backend.drain, None))
-                )
+                await asyncio.shield(self._submit_backend(self.backend.drain))
                 route.queue.put_nowait({"type": "ack", "op": "score"})
             elif op == "close":
                 session_id = str(message["session_id"])
                 await asyncio.shield(
-                    self._submit_backend(partial(self.backend.close, session_id))
+                    self._submit_backend(
+                        partial(self.backend.close_session, session_id)
+                    )
                 )
                 owned.discard(session_id)
                 leftover = []

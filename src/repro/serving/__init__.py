@@ -59,7 +59,7 @@ bit-identical to the batch pipeline, and exact registry round trips.
 """
 
 from .adaptation import AdaptiveModel, DriftMonitor
-from .fabric import ServingFabric, SwapResult, shard_of
+from .fabric import ServingFabric, shard_of
 from .registry import ModelRecord, ModelRegistry, RegistryError
 from .scheduler import (
     SHED,
@@ -68,7 +68,7 @@ from .scheduler import (
     Prediction,
     SchedulerStats,
 )
-from .service import StreamingService
+from .service import StreamingService, SwapResult
 from .session import ReadyWindow, StreamSession
 from .shm import (
     AttachedEngine,

@@ -60,7 +60,6 @@ from collections import defaultdict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +68,7 @@ from ..resilience.chaos import CHAOS, FaultPlan, install as install_chaos
 from ..resilience.policy import CircuitBreaker, CircuitOpenError, Deadline
 from ..runtime.executor import resolve_max_workers
 from .scheduler import Prediction
-from .service import StreamingService
+from .service import StreamingService, SwapResult
 from .shm import (
     AttachedEngine,
     IntegrityError,
@@ -81,7 +80,6 @@ from .shm import (
 
 __all__ = [
     "ServingFabric",
-    "SwapResult",
     "process_uss",
     "shard_of",
 ]
@@ -213,15 +211,15 @@ class _ShardRuntime:
     def drain(self) -> list[Prediction]:
         return self.service.drain()
 
-    def swap(self, manifest: dict) -> list[Prediction]:
+    def swap(self, manifest: dict) -> tuple[Prediction, ...]:
         """Flush on the old engine, switch to the new segment, drop the old.
 
-        The flush inside :meth:`StreamingService.swap_scorer` happens while
-        the old engine is still the scheduler's scorer, so every in-flight
-        window scores against exactly one complete model.
+        The flush inside :meth:`StreamingService.swap` happens while the old
+        engine is still the scheduler's scorer, so every in-flight window
+        scores against exactly one complete model.
         """
         incoming = self._attach(manifest)
-        flushed = self.service.swap_scorer(incoming.engine)
+        flushed = self.service.swap(incoming.engine).flushed
         outgoing, self.attached = self.attached, incoming
         try:
             outgoing.close()
@@ -229,18 +227,16 @@ class _ShardRuntime:
             pass
         return flushed
 
-    def stats(self) -> dict:
-        stats = self.service.stats
-        return {
-            "windows": stats.windows_scored,
-            "batches": stats.batches,
-            "score_failures": stats.score_failures,
-            "mean_batch": stats.mean_batch_size,
-            "windows_submitted": stats.windows_submitted,
-            "windows_shed": stats.windows_shed,
-            "windows_dead": stats.windows_dead,
-            "integrity_fallbacks": self.integrity_fallbacks,
-        }
+    def shard_stats(self) -> dict:
+        (stats,) = self.service.shard_stats()
+        stats["integrity_fallbacks"] = self.integrity_fallbacks
+        return stats
+
+    def dead_letters(self) -> list:
+        return list(self.service.dead_letters)
+
+    def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
+        return self.service.replay_dead_letters()
 
     def info(self) -> dict:
         return {
@@ -406,16 +402,6 @@ class _ProcessShard:
 
 
 # ------------------------------------------------------------------ fabric
-@dataclass(frozen=True)
-class SwapResult:
-    """Outcome of a :meth:`ServingFabric.swap` attempt."""
-
-    promoted: bool
-    generation: int
-    flushed: tuple = ()
-    reason: str = ""
-
-
 class ServingFabric:
     """Shard streaming sessions across N worker processes over one shared model.
 
@@ -457,6 +443,10 @@ class ServingFabric:
         etc.  Everything must be picklable (a ``transform`` lambda is not).
     """
 
+    kind = "fabric"
+    #: Worker degradation ladders are not visible from the parent process.
+    brownout = False
+
     def __init__(
         self,
         engine,
@@ -478,7 +468,6 @@ class ServingFabric:
         self._shared = publish_engine(engine, generation=0)
         self._session_specs: dict[str, dict] = {}
         self.restarts = 0
-        self.swaps = 0
         self.timeouts = 0
         self.serial = bool(serial) or self.n_workers <= 1
         self._shards: list = []
@@ -776,7 +765,6 @@ class ServingFabric:
         for shard in self._shards:
             shard.manifest = incoming.manifest
         outgoing.unlink()
-        self.swaps += 1
         if OBS.enabled:
             OBS.metrics.counter(
                 "repro_fabric_swaps_total",
@@ -789,39 +777,41 @@ class ServingFabric:
             reason="promoted",
         )
 
-    def swap_from_registry(
-        self,
-        registry,
-        name: str,
-        version: int | None = None,
-        *,
-        precision: str = "float64",
-        gate=None,
-        **compile_options,
-    ) -> SwapResult:
-        """Hot-swap to a registry artifact (the registry-driven rollout path)."""
-        engine = registry.load_compiled(
-            name, version, precision=precision, **compile_options
-        )
-        return self.swap(engine, gate=gate)
+    # ---------------------------------------------------------- dead letters
+    @property
+    def dead_letters(self) -> list:
+        """Every shard's dead-lettered windows, gathered from the workers."""
+        shards = self._gather("dead_letters")
+        return [letter for letters in shards for letter in letters]
+
+    def replay_dead_letters(self) -> tuple[int, list[Prediction]]:
+        """Replay and flush every shard's dead letters: ``(count, predictions)``."""
+        replayed, predictions = 0, []
+        for index in range(len(self._shards)):
+            count, released = self._call(index, "replay_dead_letters")
+            replayed += count
+            predictions.extend(released)
+        return replayed, predictions
 
     # ------------------------------------------------------------ inspection
+    def _gather(self, method: str) -> list:
+        """Call ``method`` on every shard concurrently; results in shard order."""
+        futures = [
+            (index, shard.submit(method)) for index, shard in enumerate(self._shards)
+        ]
+        return [self._result(index, future, method, ()) for index, future in futures]
+
     def worker_info(self) -> list[dict]:
         """Per-shard ``{pid, generation, sessions, uss_bytes}`` snapshots."""
-        futures = [
-            (index, shard.submit("info")) for index, shard in enumerate(self._shards)
-        ]
-        return [self._result(index, future, "info", ()) for index, future in futures]
+        return self._gather("info")
 
     def worker_pids(self) -> list[int]:
         return [info["pid"] for info in self.worker_info()]
 
-    def stats(self) -> list[dict]:
-        """Per-shard scheduler statistics dictionaries."""
-        futures = [
-            (index, shard.submit("stats")) for index, shard in enumerate(self._shards)
-        ]
-        return [self._result(index, future, "stats", ()) for index, future in futures]
+    def shard_stats(self) -> list[dict]:
+        """Per-shard :meth:`StreamingService.shard_stats` dicts, each with the
+        worker's ``integrity_fallbacks``."""
+        return self._gather("shard_stats")
 
     @property
     def sessions(self) -> tuple[str, ...]:
@@ -855,6 +845,6 @@ class ServingFabric:
         return (
             f"ServingFabric(n_workers={self.n_workers}, serial={self.serial}, "
             f"generation={self.generation}, sessions={len(self._session_specs)}, "
-            f"model_bytes={self.model_bytes}, swaps={self.swaps}, "
+            f"model_bytes={self.model_bytes}, "
             f"restarts={self.restarts}, timeouts={self.timeouts})"
         )

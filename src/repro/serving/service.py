@@ -14,9 +14,14 @@ case — one scorer, many subjects:
 The service itself is a thin loop over those parts; anything fancier
 (per-session priorities, backpressure, an async transport) should compose
 the parts directly rather than grow this facade.
+
+Its public members are also the serving-backend protocol the gateway calls;
+:class:`~repro.serving.fabric.ServingFabric` implements the same ones.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +29,17 @@ from ..obs import OBS
 from .scheduler import MicroBatchScheduler, Prediction
 from .session import StreamSession
 
-__all__ = ["StreamingService"]
+__all__ = ["StreamingService", "SwapResult"]
+
+
+@dataclass(frozen=True)
+class SwapResult:
+    """Outcome of a backend's :meth:`~StreamingService.swap`."""
+
+    promoted: bool
+    generation: int
+    flushed: tuple = ()
+    reason: str = ""
 
 
 class StreamingService:
@@ -70,6 +85,10 @@ class StreamingService:
         float engine).
     """
 
+    kind = "service"
+    #: An in-process service has no shards, so no circuit breakers.
+    breakers = ()
+
     def __init__(
         self,
         scorer,
@@ -104,6 +123,7 @@ class StreamingService:
         self.statistics = tuple(statistics)
         self.transform = transform
         self.sessions: dict[str, StreamSession] = {}
+        self.generation = 0
 
     @staticmethod
     def _build_ladder(scorer, deadline: float | None):
@@ -207,8 +227,12 @@ class StreamingService:
             self.scheduler.submit(ready.session_id, ready.window_index, features)
         return self.scheduler.pump()
 
-    def drain(self) -> list[Prediction]:
-        """Force-score every pending window (end of tick / shutdown)."""
+    def drain(self, *, deadline=None) -> list[Prediction]:
+        """Force-score every pending window (end of tick / shutdown).
+
+        ``deadline`` matches :meth:`ServingFabric.drain`; an in-process
+        flush has no worker to wait on, so it goes unused.
+        """
         return self.scheduler.flush()
 
     @property
@@ -237,27 +261,61 @@ class StreamingService:
             return replayed, self.scheduler.flush()
         return replayed, self.scheduler.pump()
 
-    def swap_scorer(self, scorer, *, precision: str | None = None) -> list[Prediction]:
+    def swap(self, scorer) -> SwapResult:
         """Atomically replace the scorer, flushing pending windows first.
 
         Every window already submitted is scored against the *old* scorer
-        (their predictions are returned), then the scheduler switches to the
-        new one — no window is ever scored against a half-swapped model.
-        This is the in-process primitive under the fabric's blue/green hot
-        swap (:meth:`repro.serving.fabric.ServingFabric.swap`).
+        (their predictions come back as ``SwapResult.flushed``), then the
+        scheduler switches to the new one and :attr:`generation` advances —
+        no window is ever scored against a half-swapped model.  This is the
+        in-process primitive under the fabric's blue/green hot swap
+        (:meth:`repro.serving.fabric.ServingFabric.swap`).
         """
-        scorer = self._apply_precision(scorer, precision)
         flushed = self.scheduler.flush()
         self.scheduler.scorer = scorer
         self.scheduler.degradation = self._build_ladder(scorer, self.degrade_deadline)
+        self.generation += 1
         if OBS.enabled:
             OBS.metrics.counter(
                 "repro_serving_scorer_swaps_total",
                 "Hot scorer replacements performed by the service.",
             ).inc()
-        return flushed
+        return SwapResult(
+            promoted=True,
+            generation=self.generation,
+            flushed=tuple(flushed),
+            reason="promoted",
+        )
 
     @property
     def stats(self):
         """The scheduler's accumulated :class:`SchedulerStats`."""
         return self.scheduler.stats
+
+    def shard_stats(self) -> list[dict]:
+        """Scheduler counters as one plain dict per shard (here: one), where
+        ``windows_submitted == windows + windows_shed + windows_dead + pending``."""
+        stats = self.scheduler.stats
+        return [
+            {
+                "windows": stats.windows_scored,
+                "windows_submitted": stats.windows_submitted,
+                "windows_shed": stats.windows_shed,
+                "windows_dead": stats.windows_dead,
+                "pending": self.scheduler.pending,
+                "batches": stats.batches,
+                "mean_batch": stats.mean_batch_size,
+                "score_failures": stats.score_failures,
+                "p50_ms": stats.latency_percentile(50) * 1e3,
+                "p99_ms": stats.latency_percentile(99) * 1e3,
+            }
+        ]
+
+    @property
+    def brownout(self) -> bool:
+        """Whether the degradation ladder is scoring at its cheaper tier."""
+        ladder = self.scheduler.degradation
+        return bool(ladder.active) if ladder is not None else False
+
+    def shutdown(self) -> None:
+        """No-op: the service owns no processes, and :meth:`drain` flushes."""

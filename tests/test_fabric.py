@@ -387,7 +387,9 @@ class TestHotSwap:
         service.open_session("s")
         for _, chunk in _streams(1, 5):
             assert service.push("s", chunk) == []  # everything stays pending
-        flushed = service.swap_scorer(_ConstantScorer(1))
+        result = service.swap(_ConstantScorer(1))
+        assert result.promoted and result.generation == service.generation == 1
+        flushed = list(result.flushed)
         assert [p.label for p in flushed] == [0] * 5
         for _, chunk in _streams(1, 3):
             service.push("s", chunk)
@@ -577,7 +579,7 @@ class TestInspection:
             info = fabric.worker_info()
             assert len(info) == 2
             assert all(entry["pid"] == os.getpid() for entry in info)  # serial
-            stats = fabric.stats()
+            stats = fabric.shard_stats()
             assert sum(entry["windows"] for entry in stats) == 8
             assert sum(entry["score_failures"] for entry in stats) == 0
             assert fabric.model_bytes > 0

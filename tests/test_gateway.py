@@ -15,6 +15,11 @@ Three layers, matching the package layout:
   predictions served through the gateway are bit-identical to in-process
   serving.
 
+The backend-protocol scenarios (session lifecycle, drain ledger, readiness,
+model generation after a swap, dead letters) run over both a
+``StreamingService`` and a ``serial=True`` ``ServingFabric``: the gateway
+calls the two directly, so each must answer the same way.
+
 Everything runs on the stdlib loop via ``asyncio.run`` (tier-1 stays
 hermetic; no async test plugin needed).
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,6 +53,7 @@ from repro.gateway.http import (
 )
 from repro.gateway.limits import ConcurrencyLimiter
 from repro.core import BoostHD
+from repro.engine import compile_model
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, inject
 from repro.serving import (
     MicroBatchScheduler,
@@ -84,17 +91,42 @@ class FlakyScorer(StubScorer):
         return super().decision_function(X)
 
 
+SERVICE_OPTIONS = {
+    "n_channels": N_CHANNELS,
+    "window_samples": WINDOW,
+    "step_samples": WINDOW,
+    "smoothing_window": 1,
+    "max_batch": 4,
+    "max_wait": 1e9,  # release on full batches / flush only: deterministic
+}
+
+
 def make_service(scorer=None, **overrides) -> StreamingService:
-    options = {
-        "n_channels": N_CHANNELS,
-        "window_samples": WINDOW,
-        "step_samples": WINDOW,
-        "smoothing_window": 1,
-        "max_batch": 4,
-        "max_wait": 1e9,  # release on full batches / flush only: deterministic
-    }
-    options.update(overrides)
-    return StreamingService(scorer or StubScorer(), **options)
+    return StreamingService(scorer or StubScorer(), **{**SERVICE_OPTIONS, **overrides})
+
+
+@pytest.fixture(scope="module")
+def engine():
+    """A small compiled model: a fabric publishes engine state, not a stub."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(120, N_FEATURES))
+    y = rng.integers(0, 3, size=120)
+    return compile_model(BoostHD(total_dim=256, n_learners=4, epochs=1, seed=0).fit(X, y))
+
+
+def make_fabric(engine, **overrides) -> ServingFabric:
+    """An in-process fabric: two shards, same routing, no worker processes."""
+    return ServingFabric(
+        engine, n_workers=2, serial=True, **{**SERVICE_OPTIONS, **overrides}
+    )
+
+
+@pytest.fixture(params=["service", "fabric"])
+def make_backend(request, engine):
+    """Backend factory for protocol tests: ``make_backend(**overrides)``."""
+    if request.param == "service":
+        return make_service
+    return partial(make_fabric, engine)
 
 
 def chunk(n_windows: int = 1, seed: int = 0) -> list:
@@ -300,9 +332,9 @@ def test_oversized_frame_is_rejected_not_allocated():
 
 
 # ------------------------------------------------------------------ HTTP e2e
-def test_http_session_lifecycle_and_wire_format():
+def _session_lifecycle(backend) -> None:
     async def scenario():
-        gateway = await start_gateway()
+        gateway = await start_gateway(backend)
         try:
             async with GatewayClient(gateway.host, gateway.port) as client:
                 status, _ = await client.open_session("s1")
@@ -328,6 +360,14 @@ def test_http_session_lifecycle_and_wire_format():
             await gateway.shutdown(2.0)
 
     run(scenario())
+
+
+def test_http_session_lifecycle_and_wire_format():
+    _session_lifecycle(make_service())
+
+
+def test_http_session_lifecycle_over_serial_fabric(engine):
+    _session_lifecycle(make_fabric(engine))
 
 
 def test_rate_limit_refuses_with_429_and_retry_after():
@@ -444,7 +484,7 @@ def test_shed_predictions_serialize_as_strict_json():
                 stats = (await client.stats())[1]["backend"][0]
                 assert (
                     stats["windows_submitted"]
-                    == stats["windows_scored"] + stats["windows_shed"]
+                    == stats["windows"] + stats["windows_shed"]
                 )
         finally:
             await gateway.shutdown(2.0)
@@ -481,6 +521,41 @@ def test_dead_letter_replay_endpoint():
         assert gateway.stats.dead_letters_replayed == 2
 
     run(scenario())
+
+
+def test_fabric_dead_letters_are_listed_and_replayed(engine):
+    """A fabric's dead letters live in its shards; the gateway reaches them."""
+    plan = FaultPlan(
+        seed=1,
+        faults=(
+            FaultSpec(
+                point="scheduler.score", kind="exception", probability=1.0, limit=1
+            ),
+        ),
+    )
+
+    async def scenario():
+        gateway = await start_gateway(make_fabric(engine, max_batch=2, max_retries=0))
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
+                status, _ = await client.feed("s1", chunk(2))
+                assert status == 500  # the one injected fault dead-letters both
+                status, body = await client.dead_letters()
+                assert status == 200
+                assert len(body["dead_letters"]) == 2
+                assert all(wire["status"] == "dead" for wire in body["dead_letters"])
+                status, body = await client.replay_dead_letters()
+                assert status == 200
+                assert body["replayed"] == 2
+                assert len(body["predictions"]) == 2
+                assert all(w["status"] == "scored" for w in body["predictions"])
+        finally:
+            await gateway.shutdown(2.0)
+        assert gateway.stats.dead_letters_replayed == 2
+
+    with inject(plan):
+        run(scenario())
 
 
 def test_malformed_http_gets_400_and_server_survives():
@@ -571,42 +646,79 @@ def test_websocket_disconnect_orphans_predictions_not_loses_them():
 
 
 # ------------------------------------------------------------------- lifecycle
-def test_graceful_drain_answers_every_accepted_window():
+def _graceful_drain(backend, monkeypatch) -> None:
+    # The shard ledger as the drain hands the backend to teardown (a
+    # fabric's shards are gone once ``shutdown`` returns).
+    drained: list[dict] = []
+    teardown = backend.shutdown
+
+    def shutdown():
+        drained.extend(backend.shard_stats())
+        teardown()
+
+    monkeypatch.setattr(backend, "shutdown", shutdown)
+
     async def scenario():
-        gateway = await start_gateway(make_service(max_batch=16))
+        gateway = await start_gateway(backend)
         async with GatewayClient(gateway.host, gateway.port) as client:
             await client.open_session("s1")
             status, body = await client.feed("s1", chunk(5))
             assert status == 200
             assert body["predictions"] == []  # buffered: batch not full
+            # /v1/stats closes the ledger on every shard, pending included
+            shards = (await client.stats())[1]["backend"]
+            for shard in shards:
+                assert shard["windows_submitted"] == (
+                    shard["windows"]
+                    + shard["windows_shed"]
+                    + shard["windows_dead"]
+                    + shard["pending"]
+                )
+            assert sum(shard["pending"] for shard in shards) == 5
             report = await gateway.shutdown(2.0)
             assert report["clean"] is True
             assert report["flushed_predictions"] == 5
             # after the drain, the listener is gone: new connections refuse
             with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):
                 await client.request("GET", "/v1/sessions")
-        service_stats = gateway.backend.stats()[0]
+        service_stats = {
+            key: sum(shard[key] for shard in drained)
+            for key in ("windows_submitted", "windows", "windows_shed", "pending")
+        }
         assert service_stats["windows_submitted"] == 5
-        assert service_stats["windows_scored"] == 5
+        assert service_stats["windows"] == 5
         assert service_stats["pending"] == 0
         assert (
             gateway.stats.windows_answered + gateway.stats.windows_shed
-            == service_stats["windows_scored"] + service_stats["windows_shed"]
+            == service_stats["windows"] + service_stats["windows_shed"]
         )
 
     run(scenario())
 
 
-def test_readyz_reflects_draining_state():
+def test_graceful_drain_answers_every_accepted_window(monkeypatch):
+    _graceful_drain(make_service(max_batch=16), monkeypatch)
+
+
+def test_graceful_drain_over_serial_fabric(engine, monkeypatch):
+    _graceful_drain(make_fabric(engine, max_batch=16), monkeypatch)
+
+
+def _readyz(backend) -> None:
     async def scenario():
-        gateway = await start_gateway()
+        gateway = await start_gateway(backend)
         try:
             async with GatewayClient(gateway.host, gateway.port) as client:
+                await client.open_session("s1")
                 status, body = await client.readyz()
                 assert status == 200
                 assert body["ready"] is True
                 assert body["draining"] is False
                 assert "brownout" in body and "breakers" in body
+                assert body["brownout"] is False
+                assert body["breakers"] == ["closed"] * len(backend.breakers)
+                assert body["open_sessions"] == 1
+                assert body["generation"] == 0
                 gateway._draining = True  # simulate: SIGTERM received
                 status, body = await client.readyz()
                 assert status == 503
@@ -616,6 +728,14 @@ def test_readyz_reflects_draining_state():
             await gateway.shutdown(2.0)
 
     run(scenario())
+
+
+def test_readyz_reflects_draining_state():
+    _readyz(make_service())
+
+
+def test_readyz_over_serial_fabric(engine):
+    _readyz(make_fabric(engine))
 
 
 def test_gateway_predictions_bit_identical_to_in_process():
@@ -703,6 +823,37 @@ async def start_fabric_gateway(registry) -> Gateway:
     return await start_gateway(fabric, registry=registry, registry_name="m")
 
 
+def test_swap_advances_model_generation(swap_registry, make_backend):
+    """Both backends: a swap delivers its flushed window once, generation == swaps."""
+
+    async def scenario():
+        gateway = await start_gateway(
+            make_backend(), registry=swap_registry, registry_name="m"
+        )
+        try:
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                _, model = await client.model()
+                assert (model["generation"], model["swaps"]) == (0, 0)
+                await client.open_session("s1")
+                _, body = await client.feed("s1", chunk(1))
+                assert body["predictions"] == []  # pending until the swap
+                status, body = await client.swap(version=2)
+                assert status == 200
+                assert body["swapped"] is True and body["generation"] == 1
+                _, model = await client.model()
+                assert model["backend"] == gateway.backend.kind
+                assert (model["generation"], model["swaps"]) == (1, 1)
+                _, body = await client.predictions("s1")
+                answered = [wire["window_index"] for wire in body["predictions"]]
+                _, body = await client.score("s1")
+                answered += [wire["window_index"] for wire in body["predictions"]]
+        finally:
+            await gateway.shutdown(2.0)
+        assert answered == [0]
+
+    run(scenario())
+
+
 def test_fabric_swap_answers_pending_windows_exactly_once(swap_registry):
     async def scenario():
         gateway = await start_fabric_gateway(swap_registry)
@@ -756,6 +907,41 @@ def test_fabric_swap_refused_on_corrupt_segment(swap_registry):
             await gateway.shutdown(2.0)
 
     run(scenario())
+
+
+def test_shutdown_leaves_no_connection_handler_running():
+    """``shutdown`` reaps every handler, so none is cancelled mid-close later.
+
+    A handler cancelled inside ``wait_closed`` by ``asyncio.run``'s teardown
+    surfaces as an ``Exception in callback ... CancelledError`` report on
+    the loop's exception handler; repeat the pattern that raced into it.
+    """
+    reported: list[dict] = []
+
+    async def scenario():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        gateway = await start_gateway()
+        ws = await GatewayWebSocket.connect(gateway.host, gateway.port)
+        await ws.send({"op": "open", "session_id": "w1"})
+        await ws.recv()
+        await ws.send({"op": "close", "session_id": "w1"})
+        await ws.recv()
+        await ws.close()
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            assert (await client.healthz())[0] == 200
+        await gateway.shutdown(2.0)
+        return [
+            task
+            for task in asyncio.all_tasks()
+            if getattr(task.get_coro(), "__qualname__", "")
+            == "Gateway._handle_connection"
+        ]
+
+    for _ in range(20):
+        assert run(scenario()) == []
+    assert reported == []
 
 
 # ----------------------------------------------------------------------- chaos

@@ -659,7 +659,7 @@ class TestDegradation:
         assert service.scheduler.max_pending == 128
         assert service.scheduler.max_retries == 2
         replacement = compile_model(fitted_model, precision="fixed16")
-        service.swap_scorer(replacement)
+        service.swap(replacement)
         assert service.scheduler.degradation.full is replacement
 
 
@@ -843,7 +843,7 @@ class TestFabricIntegrity:
                 fabric.open_session(f"subject-{index}")
             predictions = fabric.route(_chunks(4, 2)) + fabric.drain()
             assert len(predictions) == 8
-            stats = fabric.stats()
+            stats = fabric.shard_stats()
             assert sum(shard["integrity_fallbacks"] for shard in stats) == 2
             # Copy-loaded workers score the same artifact: predictions match
             # the single-process reference bit for bit.
